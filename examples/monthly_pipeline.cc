@@ -9,7 +9,8 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <iterator>
+#include <string>
 
 #include "harness/flags.h"
 #include "longdp.h"
@@ -17,6 +18,24 @@
 namespace {
 
 using namespace longdp;
+
+// Checkpoints are binary byte strings (SaveCheckpoint appends to a
+// std::string, LoadCheckpoint reads one back); the jobs keep them in plain
+// files. A deployed curator would use persist::DurableRun instead, which
+// adds checksums, atomic replacement and a write-ahead log.
+Result<std::string> ReadCheckpointFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IOError("missing checkpoint " + path);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+Status WriteCheckpointFile(const std::string& path,
+                           const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return out ? Status::OK() : Status::IOError("cannot write " + path);
+}
 
 // One month's batch job for Algorithm 1. Returns the debiased quarterly
 // answer when a quarter completes.
@@ -32,10 +51,10 @@ Status RunWindowJob(const std::string& checkpoint_path, int64_t month,
     LONGDP_ASSIGN_OR_RETURN(synth,
                             core::FixedWindowSynthesizer::Create(opt));
   } else {
-    std::ifstream in(checkpoint_path);
-    if (!in) return Status::IOError("missing checkpoint " + checkpoint_path);
-    LONGDP_ASSIGN_OR_RETURN(synth,
-                            core::FixedWindowSynthesizer::LoadCheckpoint(in));
+    LONGDP_ASSIGN_OR_RETURN(std::string bytes,
+                            ReadCheckpointFile(checkpoint_path));
+    LONGDP_ASSIGN_OR_RETURN(
+        synth, core::FixedWindowSynthesizer::LoadCheckpoint(bytes));
     if (synth->t() != month - 1) {
       return Status::FailedPrecondition("checkpoint is from month " +
                                         std::to_string(synth->t()));
@@ -50,9 +69,9 @@ Status RunWindowJob(const std::string& checkpoint_path, int64_t month,
                 static_cast<long long>(month), answer,
                 synth->accountant().spent());
   }
-  std::ofstream out(checkpoint_path);
-  LONGDP_RETURN_NOT_OK(synth->SaveCheckpoint(out));
-  return Status::OK();
+  std::string bytes;
+  LONGDP_RETURN_NOT_OK(synth->SaveCheckpoint(&bytes));
+  return WriteCheckpointFile(checkpoint_path, bytes);
 }
 
 // One month's batch job for Algorithm 2.
@@ -66,10 +85,10 @@ Status RunCumulativeJob(const std::string& checkpoint_path, int64_t month,
     opt.seed = seed;
     LONGDP_ASSIGN_OR_RETURN(synth, core::CumulativeSynthesizer::Create(opt));
   } else {
-    std::ifstream in(checkpoint_path);
-    if (!in) return Status::IOError("missing checkpoint " + checkpoint_path);
+    LONGDP_ASSIGN_OR_RETURN(std::string bytes,
+                            ReadCheckpointFile(checkpoint_path));
     LONGDP_ASSIGN_OR_RETURN(synth,
-                            core::CumulativeSynthesizer::LoadCheckpoint(in));
+                            core::CumulativeSynthesizer::LoadCheckpoint(bytes));
   }
   LONGDP_RETURN_NOT_OK(synth->ObserveRound(reports));
   if (month % 4 == 0) {
@@ -77,9 +96,9 @@ Status RunCumulativeJob(const std::string& checkpoint_path, int64_t month,
     std::printf("  [job %2lld] >=3 months so far = %.4f\n",
                 static_cast<long long>(month), answer);
   }
-  std::ofstream out(checkpoint_path);
-  LONGDP_RETURN_NOT_OK(synth->SaveCheckpoint(out));
-  return Status::OK();
+  std::string bytes;
+  LONGDP_RETURN_NOT_OK(synth->SaveCheckpoint(&bytes));
+  return WriteCheckpointFile(checkpoint_path, bytes);
 }
 
 }  // namespace
@@ -113,9 +132,9 @@ int main(int argc, char** argv) {
   }
 
   // Final verification against ground truth.
-  std::ifstream in(window_ckpt);
-  auto final_synth =
-      core::FixedWindowSynthesizer::LoadCheckpoint(in).value();
+  auto final_synth = core::FixedWindowSynthesizer::LoadCheckpoint(
+                         ReadCheckpointFile(window_ckpt).value())
+                         .value();
   auto pred = query::MakeAllOnes(3);
   double truth = query::EvaluateOnDataset(*pred, dataset, 12).value();
   double estimate = final_synth->DebiasedAnswer(*pred).value();

@@ -1,66 +1,16 @@
 #include "archive/format.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "util/bits.h"
+#include "util/byte_io.h"
 
 namespace longdp {
 namespace archive {
 
 namespace {
-
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-void AppendI64(std::string* out, int64_t v) {
-  AppendU64(out, static_cast<uint64_t>(v));
-}
-
-// Bounds-checked sequential decoder over the footer bytes. Every read that
-// would run past the end fails instead of reading garbage — a truncated
-// footer with a forged CRC must not crash the reader.
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  Status ReadU32(uint32_t* v) { return ReadRaw(v, sizeof(*v)); }
-  Status ReadU64(uint64_t* v) { return ReadRaw(v, sizeof(*v)); }
-  Status ReadI64(int64_t* v) { return ReadRaw(v, sizeof(*v)); }
-
-  Status ReadString(size_t len, std::string* out) {
-    if (data_.size() - pos_ < len) {
-      return Status::DataLoss("archive footer truncated");
-    }
-    out->assign(data_.data() + pos_, len);
-    pos_ += len;
-    return Status::OK();
-  }
-
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  Status ReadRaw(void* v, size_t len) {
-    if (data_.size() - pos_ < len) {
-      return Status::DataLoss("archive footer truncated");
-    }
-    std::memcpy(v, data_.data() + pos_, len);
-    pos_ += len;
-    return Status::OK();
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
+// Encoded size of one footer index record (see EncodeFooter).
+constexpr size_t kEntryBytes = 4 + 4 + 7 * 8 + 8 + 8 + 4;
 }  // namespace
 
 uint64_t ExpectedPayloadBytes(const ArchiveEntry& entry) {
@@ -73,67 +23,74 @@ uint64_t ExpectedPayloadBytes(const ArchiveEntry& entry) {
 
 std::string EncodeHeader() {
   std::string out;
-  AppendU64(&out, kMagic);
-  AppendU32(&out, kFormatVersion);
-  AppendU32(&out, 0);  // reserved
+  util::ByteWriter w(&out);
+  w.U64(kMagic);
+  w.U32(kFormatVersion);
+  w.U32(0);  // reserved
   return out;
 }
 
 std::string EncodeTail(uint64_t footer_offset, uint32_t footer_crc) {
   std::string out;
-  AppendU64(&out, footer_offset);
-  AppendU32(&out, footer_crc);
-  AppendU32(&out, kFormatVersion);
-  AppendU64(&out, kMagic);
+  util::ByteWriter w(&out);
+  w.U64(footer_offset);
+  w.U32(footer_crc);
+  w.U32(kFormatVersion);
+  w.U64(kMagic);
   return out;
 }
 
 std::string EncodeFooter(const std::vector<std::string>& labels,
                          const std::vector<ArchiveEntry>& entries) {
   std::string out;
-  AppendU32(&out, static_cast<uint32_t>(labels.size()));
+  util::ByteWriter w(&out);
+  w.U32(static_cast<uint32_t>(labels.size()));
   for (const std::string& label : labels) {
-    AppendU32(&out, static_cast<uint32_t>(label.size()));
-    out.append(label);
+    w.U32(static_cast<uint32_t>(label.size()));
+    w.Raw(label.data(), label.size());
   }
-  AppendU32(&out, static_cast<uint32_t>(entries.size()));
+  w.U32(static_cast<uint32_t>(entries.size()));
   for (const ArchiveEntry& e : entries) {
-    AppendU32(&out, static_cast<uint32_t>(e.kind));
-    AppendU32(&out, e.label_id);
-    AppendI64(&out, e.t);
-    AppendI64(&out, e.window_k);
-    AppendI64(&out, e.alphabet);
-    AppendI64(&out, e.npad);
-    AppendI64(&out, e.true_n);
-    AppendI64(&out, e.count);
-    AppendI64(&out, e.rounds);
-    AppendU64(&out, e.offset);
-    AppendU64(&out, e.bytes);
-    AppendU32(&out, e.crc32c);
+    w.U32(static_cast<uint32_t>(e.kind));
+    w.U32(e.label_id);
+    w.I64(e.t);
+    w.I64(e.window_k);
+    w.I64(e.alphabet);
+    w.I64(e.npad);
+    w.I64(e.true_n);
+    w.I64(e.count);
+    w.I64(e.rounds);
+    w.U64(e.offset);
+    w.U64(e.bytes);
+    w.U32(e.crc32c);
   }
   return out;
 }
 
 Status DecodeFooter(std::string_view footer, std::vector<std::string>* labels,
                     std::vector<ArchiveEntry>* entries) {
-  Cursor cur(footer);
+  // Bounds-checked decode: a truncated footer with a forged CRC fails
+  // instead of reading garbage, and the reserves below never exceed what
+  // the remaining bytes could encode.
+  util::ByteReader cur(footer, StatusCode::kDataLoss, "archive footer");
   labels->clear();
   entries->clear();
 
   uint32_t num_labels = 0;
   LONGDP_RETURN_NOT_OK(cur.ReadU32(&num_labels));
-  labels->reserve(num_labels);
+  labels->reserve(std::min<size_t>(num_labels, cur.remaining() / 4));
   for (uint32_t i = 0; i < num_labels; ++i) {
     uint32_t len = 0;
     LONGDP_RETURN_NOT_OK(cur.ReadU32(&len));
-    std::string label;
-    LONGDP_RETURN_NOT_OK(cur.ReadString(len, &label));
-    labels->push_back(std::move(label));
+    std::string_view label;
+    LONGDP_RETURN_NOT_OK(cur.ReadView(len, &label));
+    labels->emplace_back(label);
   }
 
   uint32_t num_entries = 0;
   LONGDP_RETURN_NOT_OK(cur.ReadU32(&num_entries));
-  entries->reserve(num_entries);
+  entries->reserve(
+      std::min<size_t>(num_entries, cur.remaining() / kEntryBytes));
   for (uint32_t i = 0; i < num_entries; ++i) {
     ArchiveEntry e;
     uint32_t kind = 0;

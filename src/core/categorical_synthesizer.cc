@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <string>
 
 #include "core/observe_shard.h"
-#include "stream/state_io.h"
 #include "util/batch_sampler.h"
 #include "util/thread_pool.h"
 
@@ -21,15 +18,6 @@ int64_t FloorDiv(int64_t a, int64_t b) {
   if ((a % b) != 0 && ((a < 0) != (b < 0))) --q;
   return q;
 }
-
-// v1: the first checkpoint format for the categorical synthesizer, born
-// with the strict-parse discipline — every numeric field is a whole token
-// and the file ends in a format-specific sentinel. The header stores the
-// RESOLVED padding (npad_), so reloading never re-derives it from
-// beta_target. No RNG cursors: all draws are keyed by round number.
-constexpr char kCategoricalMagicPrefix[] = "longdp-categorical-checkpoint-";
-constexpr char kCategoricalMagic[] = "longdp-categorical-checkpoint-v1";
-constexpr char kCategoricalEnd[] = "end-longdp-categorical-checkpoint-v1";
 }  // namespace
 
 Result<uint64_t> CategoricalWindowSynthesizer::NumBins(int window_k,
@@ -333,233 +321,6 @@ Status CategoricalWindowSynthesizer::SlideRelease() {
   groups_.swap(groups_next_);
   counts_.swap(new_counts);
   return Status::OK();
-}
-
-Status CategoricalWindowSynthesizer::SaveCheckpoint(std::ostream& out) const {
-  namespace sio = stream::state_io;
-  out << kCategoricalMagic << "\n";
-  out << options_.horizon << " " << options_.window_k << " "
-      << options_.alphabet << " ";
-  sio::WriteDouble(out, options_.rho);
-  out << " " << npad_ << " ";
-  sio::WriteDouble(out, options_.beta_target);
-  out << " " << options_.seed << "\n";
-  out << t_ << " " << n_ << " " << (initialized_ ? 1 : 0) << " "
-      << num_records_ << " " << stats_.releases << " "
-      << stats_.negative_clamps << " " << stats_.remainder_draws << " ";
-  sio::WriteDouble(out, accountant_.spent());
-  out << "\n";
-  if (n_ >= 0) {
-    out << "windows";
-    for (uint64_t w : user_window_) out << " " << w;
-    out << "\n";
-  }
-  if (initialized_) {
-    out << "counts ";
-    sio::WriteIntVector(out, counts_);
-    out << "\n";
-    const size_t m = static_cast<size_t>(num_records_);
-    out << "history\n";
-    for (int64_t tt = 1; tt <= t_; ++tt) {
-      const uint8_t* col =
-          history_symbols_.data() + static_cast<size_t>(tt - 1) * m;
-      for (size_t j = 0; j < m; ++j) {
-        if (j > 0) out << " ";
-        out << static_cast<int>(col[j]);
-      }
-      out << "\n";
-    }
-    // The overlap groups' exact member ORDER is load-bearing: the slide's
-    // partial shuffles permute it, so a resumed run must see the same
-    // member sequence the uninterrupted run would.
-    out << "groups ";
-    std::vector<int64_t> sizes(static_cast<size_t>(num_overlaps_));
-    for (uint64_t z = 0; z < num_overlaps_; ++z) {
-      sizes[static_cast<size_t>(z)] = groups_.size(static_cast<size_t>(z));
-    }
-    sio::WriteIntVector(out, sizes);
-    out << "\n";
-    std::vector<int64_t> members;
-    members.reserve(m);
-    for (uint64_t z = 0; z < num_overlaps_; ++z) {
-      const int64_t* g = groups_.group_data(static_cast<size_t>(z));
-      members.insert(members.end(), g,
-                     g + groups_.size(static_cast<size_t>(z)));
-    }
-    sio::WriteIntVector(out, members);
-    out << "\n";
-  }
-  out << kCategoricalEnd << "\n";
-  return out.good() ? Status::OK()
-                    : Status::IOError("checkpoint write failed");
-}
-
-Result<std::unique_ptr<CategoricalWindowSynthesizer>>
-CategoricalWindowSynthesizer::LoadCheckpoint(std::istream& in) {
-  namespace sio = stream::state_io;
-  std::string magic;
-  if (!std::getline(in, magic)) {
-    return Status::InvalidArgument("not a categorical checkpoint");
-  }
-  if (magic != kCategoricalMagic) {
-    // Version skew gets its own message: a future-format checkpoint is a
-    // real checkpoint this build cannot restore, not arbitrary garbage.
-    if (magic.rfind(kCategoricalMagicPrefix, 0) == 0) {
-      return Status::InvalidArgument(
-          "unsupported categorical checkpoint version '" + magic +
-          "'; this build reads " + kCategoricalMagic);
-    }
-    return Status::InvalidArgument("not a categorical checkpoint");
-  }
-  Options options;
-  LONGDP_ASSIGN_OR_RETURN(options.horizon, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(int64_t window_k, sio::ReadInt(in));
-  options.window_k = static_cast<int>(window_k);
-  LONGDP_ASSIGN_OR_RETURN(int64_t alphabet, sio::ReadInt(in));
-  options.alphabet = static_cast<int>(alphabet);
-  LONGDP_ASSIGN_OR_RETURN(options.rho, sio::ReadDouble(in));
-  LONGDP_ASSIGN_OR_RETURN(options.npad, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(options.beta_target, sio::ReadDouble(in));
-  LONGDP_ASSIGN_OR_RETURN(options.seed, sio::ReadCursor(in));
-  if (options.npad < 0) {
-    return Status::InvalidArgument(
-        "categorical checkpoint must store the resolved npad");
-  }
-  LONGDP_ASSIGN_OR_RETURN(auto synth, Create(options));
-
-  LONGDP_ASSIGN_OR_RETURN(int64_t t, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(int64_t n, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(int64_t initialized, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(int64_t num_records, sio::ReadInt(in));
-  Stats stats;
-  LONGDP_ASSIGN_OR_RETURN(stats.releases, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(stats.negative_clamps, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(stats.remainder_draws, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(const double spent, sio::ReadDouble(in));
-  if (t < 0 || t > options.horizon ||
-      (initialized != 0 && initialized != 1) || num_records < 0) {
-    return Status::InvalidArgument("corrupt categorical checkpoint state");
-  }
-  const bool inited = initialized == 1;
-  if (inited != (t >= options.window_k && n >= 0)) {
-    return Status::InvalidArgument(
-        "categorical checkpoint initialized flag inconsistent with t");
-  }
-  if ((t == 0) != (n < 0)) {
-    return Status::InvalidArgument(
-        "categorical checkpoint population inconsistent with t");
-  }
-  if (!inited && num_records != 0) {
-    return Status::InvalidArgument(
-        "categorical checkpoint has records before the first release");
-  }
-  // A garbage spent token restoring as 0.0 would silently reset the
-  // privacy budget; ReadDouble already hard-fails, so only charge here.
-  if (spent > 0.0) {
-    LONGDP_RETURN_NOT_OK(
-        synth->accountant_.Charge(spent, "restored-checkpoint"));
-  }
-  if (n >= 0) {
-    LONGDP_RETURN_NOT_OK(
-        sio::ExpectToken(in, "windows", "categorical checkpoint"));
-    synth->user_window_.resize(static_cast<size_t>(n));
-    for (auto& w : synth->user_window_) {
-      LONGDP_ASSIGN_OR_RETURN(w, sio::ReadCursor(in));
-      if (w >= synth->num_bins_) {
-        return Status::InvalidArgument("window pattern out of range");
-      }
-    }
-  }
-  if (inited) {
-    LONGDP_RETURN_NOT_OK(
-        sio::ExpectToken(in, "counts", "categorical checkpoint"));
-    LONGDP_RETURN_NOT_OK(sio::ReadIntVector(in, &synth->counts_));
-    if (synth->counts_.size() != static_cast<size_t>(synth->num_bins_)) {
-      return Status::InvalidArgument("categorical histogram wrong size");
-    }
-    int64_t total = 0;
-    for (int64_t c : synth->counts_) {
-      if (c < 0) {
-        return Status::InvalidArgument("categorical histogram negative bin");
-      }
-      total += c;
-    }
-    if (total != num_records) {
-      return Status::InvalidArgument(
-          "categorical histogram does not sum to the record count");
-    }
-    LONGDP_RETURN_NOT_OK(
-        sio::ExpectToken(in, "history", "categorical checkpoint"));
-    const size_t m = static_cast<size_t>(num_records);
-    synth->history_symbols_.assign(m * static_cast<size_t>(t), 0);
-    for (int64_t tt = 1; tt <= t; ++tt) {
-      uint8_t* col =
-          synth->history_symbols_.data() + static_cast<size_t>(tt - 1) * m;
-      for (size_t j = 0; j < m; ++j) {
-        LONGDP_ASSIGN_OR_RETURN(int64_t sym, sio::ReadInt(in));
-        if (sym < 0 || sym >= options.alphabet) {
-          return Status::InvalidArgument("history symbol out of range");
-        }
-        col[j] = static_cast<uint8_t>(sym);
-      }
-    }
-    LONGDP_RETURN_NOT_OK(
-        sio::ExpectToken(in, "groups", "categorical checkpoint"));
-    std::vector<int64_t> sizes;
-    LONGDP_RETURN_NOT_OK(sio::ReadIntVector(in, &sizes));
-    if (sizes.size() != static_cast<size_t>(synth->num_overlaps_)) {
-      return Status::InvalidArgument("overlap group sizes wrong length");
-    }
-    int64_t group_total = 0;
-    for (int64_t s : sizes) {
-      if (s < 0) {
-        return Status::InvalidArgument("negative overlap group size");
-      }
-      group_total += s;
-    }
-    if (group_total != num_records) {
-      return Status::InvalidArgument(
-          "overlap groups do not cover the record count");
-    }
-    std::vector<int64_t> members;
-    LONGDP_RETURN_NOT_OK(sio::ReadIntVector(in, &members));
-    if (members.size() != m) {
-      return Status::InvalidArgument("overlap group members wrong length");
-    }
-    std::vector<uint8_t> seen(m, 0);
-    for (int64_t r : members) {
-      if (r < 0 || r >= num_records || seen[static_cast<size_t>(r)]) {
-        return Status::InvalidArgument(
-            "overlap group members are not a permutation of the records");
-      }
-      seen[static_cast<size_t>(r)] = 1;
-    }
-    synth->groups_.Reset(static_cast<size_t>(synth->num_overlaps_));
-    for (size_t z = 0; z < sizes.size(); ++z) {
-      synth->groups_.AddCount(z, sizes[z]);
-    }
-    synth->groups_.BuildOffsets();
-    size_t idx = 0;
-    for (size_t z = 0; z < sizes.size(); ++z) {
-      for (int64_t j = 0; j < sizes[z]; ++j) {
-        synth->groups_.Place(z, members[idx++]);
-      }
-    }
-    // Re-arm the per-round scratch exactly as InitialRelease would; the
-    // next SlideRelease assumes these are sized.
-    synth->groups_next_.Reset(static_cast<size_t>(synth->num_overlaps_));
-    synth->counts_scratch_.assign(static_cast<size_t>(synth->num_bins_), 0);
-    synth->targets_.assign(static_cast<size_t>(options.alphabet), 0);
-    synth->child_order_.assign(static_cast<size_t>(options.alphabet), 0);
-    synth->initialized_ = true;
-  }
-  LONGDP_RETURN_NOT_OK(
-      sio::ExpectToken(in, kCategoricalEnd, "categorical checkpoint"));
-  synth->t_ = t;
-  synth->n_ = n;
-  synth->num_records_ = num_records;
-  synth->stats_ = stats;
-  return synth;
 }
 
 Result<double> CategoricalWindowSynthesizer::DebiasedBinFraction(

@@ -17,9 +17,10 @@
 #define LONGDP_CORE_CATEGORICAL_SYNTHESIZER_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "dp/accountant.h"
@@ -99,18 +100,18 @@ class CategoricalWindowSynthesizer {
   const Stats& stats() const { return stats_; }
   const dp::ZCdpAccountant& accountant() const { return accountant_; }
 
-  /// Serializes the full synthesizer state (options with the resolved
+  /// Appends the full synthesizer state (options with the resolved
   /// padding, accountant, per-user windows, synthetic cohort, and overlap
-  /// group member order) as a text checkpoint ending in a format-specific
-  /// sentinel token. No RNG cursors are needed: every draw stream is keyed
-  /// by its round number.
-  Status SaveCheckpoint(std::ostream& out) const;
+  /// group member order) to `out` as a binary checkpoint ending in a
+  /// format-specific sentinel (format in core/checkpoint.cc). No RNG
+  /// cursors are needed: every draw stream is keyed by its round number.
+  Status SaveCheckpoint(std::string* out) const;
 
-  /// Restores a synthesizer saved by SaveCheckpoint. The worker pool is not
-  /// persisted; the restored synthesizer runs serially until set_pool()
-  /// re-attaches one.
+  /// Restores a synthesizer from SaveCheckpoint output, which must be
+  /// exactly `bytes`. The worker pool is not persisted; the restored
+  /// synthesizer runs serially until set_pool() re-attaches one.
   static Result<std::unique_ptr<CategoricalWindowSynthesizer>> LoadCheckpoint(
-      std::istream& in);
+      std::string_view bytes);
 
   /// Re-attaches a worker pool (e.g. after LoadCheckpoint). Non-owning;
   /// must outlive the synthesizer. Null runs serially.

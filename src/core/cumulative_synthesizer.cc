@@ -2,14 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
-#include <istream>
-#include <ostream>
 
-#include "stream/counter_factory.h"
-#include "stream/state_io.h"
 #include "util/batch_sampler.h"
-#include "util/csv.h"
 #include "util/simd/simd.h"
 #include "util/thread_pool.h"
 
@@ -23,6 +17,15 @@ Result<std::unique_ptr<CumulativeSynthesizer>> CumulativeSynthesizer::Create(
   }
   if (!(options.rho > 0.0)) {
     return Status::InvalidArgument("rho must be > 0");
+  }
+  const int64_t max_horizon =
+      options.counter_factory
+          ? options.counter_factory->max_bank_horizon()
+          : stream::StreamCounterFactory::kMaxBankHorizon;
+  if (options.horizon > max_horizon) {
+    return Status::InvalidArgument(
+        "horizon T exceeds " + std::to_string(max_horizon) +
+        ", the longest counter bank of this counter type");
   }
   return std::unique_ptr<CumulativeSynthesizer>(
       new CumulativeSynthesizer(options));
@@ -233,39 +236,6 @@ Status CumulativeSynthesizer::ObserveRound(data::RoundView round) {
   return Status::OK();
 }
 
-int64_t CumulativeSynthesizer::OrigWeight(int64_t i) const {
-  if (num_weight_planes_ == 0) {
-    return orig_weight_[static_cast<size_t>(i)];
-  }
-  int64_t w = 0;
-  for (int j = 0; j < num_weight_planes_; ++j) {
-    w |= static_cast<int64_t>(
-             (weight_planes_[static_cast<size_t>(j)][static_cast<size_t>(
-                  i >> 6)] >>
-              (i & 63)) &
-             1)
-         << j;
-  }
-  return w;
-}
-
-void CumulativeSynthesizer::SetOrigWeight(int64_t i, int64_t w) {
-  if (num_weight_planes_ == 0) {
-    orig_weight_[static_cast<size_t>(i)] = static_cast<int32_t>(w);
-    return;
-  }
-  for (int j = 0; j < num_weight_planes_; ++j) {
-    uint64_t& word =
-        weight_planes_[static_cast<size_t>(j)][static_cast<size_t>(i >> 6)];
-    const uint64_t bit = uint64_t{1} << (i & 63);
-    if ((w >> j) & 1) {
-      word |= bit;
-    } else {
-      word &= ~bit;
-    }
-  }
-}
-
 const std::vector<int64_t>& CumulativeSynthesizer::raw_thresholds() const {
   static const std::vector<int64_t> kEmpty;
   return bank_ ? bank_->raw_row() : kEmpty;
@@ -316,227 +286,10 @@ Result<data::LongitudinalDataset> CumulativeSynthesizer::ToDataset() const {
   return ds;
 }
 
-
-namespace {
-// v2: the header carries the substream seed, and counter states embed
-// their substream cursors — a restored run resumes the exact remaining
-// noise/selection sequence (v1 checkpoints predate keyed substreams and
-// are rejected).
-// v3 adds the weight-group member order and spent heads: the promotion
-// shuffles permute the live suffixes, so without them a resumed run
-// promotes different record identities than the uninterrupted run
-// (released thresholds match, record histories don't).
-// v4 replaces the generic "end" trailer with the format-specific sentinel
-// below (consumed strictly by the loader) and parses every numeric field
-// as a strict whole token — trailing garbage inside a token, or a
-// checkpoint truncated after a valid prefix, now hard-fails instead of
-// restoring a plausible-but-wrong state.
-constexpr char kCumulativeMagicPrefix[] = "longdp-cumulative-checkpoint-";
-constexpr char kCumulativeMagic[] = "longdp-cumulative-checkpoint-v4";
-constexpr char kCumulativeEnd[] = "end-longdp-cumulative-checkpoint-v4";
-
-std::string CumulativeDoubleToken(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-}  // namespace
-
 void CumulativeSynthesizer::set_pool(util::ThreadPool* pool) {
   options_.pool = pool;
   // The counter bank captured the pool at creation; keep it in step.
   if (bank_ != nullptr) bank_->set_pool(pool);
-}
-
-Status CumulativeSynthesizer::SaveCheckpoint(std::ostream& out) const {
-  out << kCumulativeMagic << "\n";
-  std::string counter_name =
-      options_.counter_factory ? options_.counter_factory->name() : "tree";
-  out << options_.horizon << " " << CumulativeDoubleToken(options_.rho)
-      << " " << stream::BudgetSplitName(options_.split) << " "
-      << counter_name << " " << options_.seed << "\n";
-  out << t_ << " " << n_ << "\n";
-  if (n_ >= 0) {
-    out << "weights";
-    // Materialized per-record weights: the bit-plane layout is an
-    // in-memory choice, not checkpoint format.
-    for (int64_t i = 0; i < n_; ++i) out << " " << OrigWeight(i);
-    out << "\n";
-    out << "released";
-    for (int64_t v : released_) out << " " << v;
-    out << "\n";
-    out << "histories " << n_ << " " << t_ << "\n";
-    for (int64_t r = 0; r < n_; ++r) {
-      std::string line(static_cast<size_t>(t_), '0');
-      for (int64_t j = 0; j < t_; ++j) {
-        if (history_bits_[static_cast<size_t>(j) * static_cast<size_t>(n_) +
-                          static_cast<size_t>(r)]) {
-          line[static_cast<size_t>(j)] = '1';
-        }
-      }
-      out << line << "\n";
-    }
-    out << "groups\n";
-    for (size_t b = 0; b < weight_groups_.size(); ++b) {
-      const auto& group = weight_groups_[b];
-      out << group.size() << " " << group_head_[b];
-      for (int64_t r : group) out << " " << r;
-      out << "\n";
-    }
-    out << "bank\n";
-    LONGDP_RETURN_NOT_OK(bank_->SaveState(out));
-  }
-  out << kCumulativeEnd << "\n";
-  return out.good() ? Status::OK()
-                    : Status::IOError("checkpoint write failed");
-}
-
-Result<std::unique_ptr<CumulativeSynthesizer>>
-CumulativeSynthesizer::LoadCheckpoint(std::istream& in) {
-  std::string magic;
-  if (!std::getline(in, magic)) {
-    return Status::InvalidArgument("not a cumulative checkpoint");
-  }
-  if (magic != kCumulativeMagic) {
-    // Version skew gets its own message: a v1-v3 checkpoint is a real
-    // checkpoint this build cannot restore, not arbitrary garbage.
-    if (magic.rfind(kCumulativeMagicPrefix, 0) == 0) {
-      return Status::InvalidArgument(
-          "unsupported cumulative checkpoint version '" + magic +
-          "'; this build reads " + kCumulativeMagic);
-    }
-    return Status::InvalidArgument("not a cumulative checkpoint");
-  }
-  namespace sio = stream::state_io;
-  Options options;
-  std::string rho_tok, split_name, counter_name;
-  LONGDP_ASSIGN_OR_RETURN(options.horizon, sio::ReadInt(in));
-  if (!(in >> rho_tok >> split_name >> counter_name)) {
-    return Status::InvalidArgument("corrupt checkpoint header");
-  }
-  LONGDP_ASSIGN_OR_RETURN(options.seed, sio::ReadCursor(in));
-  // Strict parse: a corrupted rho token must reject the checkpoint, not
-  // restore as rho=0 and zero out the privacy budget.
-  LONGDP_ASSIGN_OR_RETURN(options.rho, util::ParseDoubleField(rho_tok));
-  LONGDP_ASSIGN_OR_RETURN(options.split,
-                          stream::BudgetSplitFromName(split_name));
-  LONGDP_ASSIGN_OR_RETURN(options.counter_factory,
-                          stream::MakeCounterFactory(counter_name));
-  LONGDP_ASSIGN_OR_RETURN(auto synth, Create(options));
-  LONGDP_ASSIGN_OR_RETURN(int64_t t, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(int64_t n, sio::ReadInt(in));
-  if (t < 0 || t > options.horizon) {
-    return Status::InvalidArgument("checkpoint time out of range");
-  }
-  if (n >= 0) {
-    // InitializeForPopulation creates the bank and charges the full budget,
-    // exactly as the original run did at its first round.
-    LONGDP_RETURN_NOT_OK(synth->InitializeForPopulation(n));
-    std::string tag;
-    if (!(in >> tag) || tag != "weights") {
-      return Status::InvalidArgument("corrupt checkpoint: expected weights");
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      LONGDP_ASSIGN_OR_RETURN(int64_t wv, sio::ReadInt(in));
-      if (wv < 0 || wv > t) {
-        return Status::InvalidArgument("corrupt checkpoint weights");
-      }
-      synth->SetOrigWeight(i, wv);
-    }
-    if (!(in >> tag) || tag != "released") {
-      return Status::InvalidArgument("corrupt checkpoint: expected released");
-    }
-    for (auto& v : synth->released_) {
-      LONGDP_ASSIGN_OR_RETURN(v, sio::ReadInt(in));
-    }
-    synth->prev_released_ = synth->released_;
-    LONGDP_RETURN_NOT_OK(sio::ExpectToken(in, "histories", "checkpoint"));
-    LONGDP_ASSIGN_OR_RETURN(int64_t num_records, sio::ReadInt(in));
-    LONGDP_ASSIGN_OR_RETURN(int64_t rounds, sio::ReadInt(in));
-    if (num_records != n || rounds != t) {
-      return Status::InvalidArgument("corrupt checkpoint histories header");
-    }
-    std::string line;
-    std::getline(in, line);
-    for (auto& group : synth->weight_groups_) group.clear();
-    std::fill(synth->group_head_.begin(), synth->group_head_.end(), 0);
-    synth->history_bits_.assign(
-        static_cast<size_t>(t) * static_cast<size_t>(n), 0);
-    std::vector<int64_t> hist_weight(static_cast<size_t>(n), 0);
-    for (int64_t r = 0; r < n; ++r) {
-      if (!std::getline(in, line) ||
-          line.size() != static_cast<size_t>(t)) {
-        return Status::InvalidArgument("corrupt checkpoint history line");
-      }
-      int64_t weight = 0;
-      for (size_t j = 0; j < line.size(); ++j) {
-        if (line[j] != '0' && line[j] != '1') {
-          return Status::InvalidArgument("history bits must be 0/1");
-        }
-        if (line[j] == '1') {
-          synth->history_bits_[j * static_cast<size_t>(n) +
-                               static_cast<size_t>(r)] = 1;
-          ++weight;
-        }
-      }
-      hist_weight[static_cast<size_t>(r)] = weight;
-    }
-    // The groups section replays the exact member order the promotion
-    // shuffles left behind, spent prefixes included — rebuilding in
-    // record order would change which records later rounds promote.
-    if (!(in >> tag) || tag != "groups") {
-      return Status::InvalidArgument("corrupt checkpoint: expected groups");
-    }
-    std::vector<uint8_t> live_seen(static_cast<size_t>(n), 0);
-    for (size_t b = 0; b < synth->weight_groups_.size(); ++b) {
-      LONGDP_ASSIGN_OR_RETURN(int64_t size, sio::ReadInt(in));
-      LONGDP_ASSIGN_OR_RETURN(int64_t head, sio::ReadInt(in));
-      if (size < 0 || head < 0 || head > size) {
-        return Status::InvalidArgument("corrupt checkpoint group header");
-      }
-      auto& group = synth->weight_groups_[b];
-      group.resize(static_cast<size_t>(size));
-      for (int64_t i = 0; i < size; ++i) {
-        LONGDP_ASSIGN_OR_RETURN(int64_t r, sio::ReadInt(in));
-        if (r < 0 || r >= n) {
-          return Status::InvalidArgument("corrupt checkpoint group member");
-        }
-        if (i >= head) {
-          // Live members must be a partition of the records consistent
-          // with the restored histories; the spent prefix is inert.
-          if (live_seen[static_cast<size_t>(r)] ||
-              hist_weight[static_cast<size_t>(r)] !=
-                  static_cast<int64_t>(b)) {
-            return Status::InvalidArgument(
-                "checkpoint groups inconsistent with histories");
-          }
-          live_seen[static_cast<size_t>(r)] = 1;
-        }
-        group[static_cast<size_t>(i)] = r;
-      }
-      synth->group_head_[b] = static_cast<size_t>(head);
-    }
-    for (int64_t r = 0; r < n; ++r) {
-      if (!live_seen[static_cast<size_t>(r)]) {
-        return Status::InvalidArgument(
-            "checkpoint groups missing a live record");
-      }
-    }
-    if (!(in >> tag) || tag != "bank") {
-      return Status::InvalidArgument("corrupt checkpoint: expected bank");
-    }
-    LONGDP_RETURN_NOT_OK(synth->bank_->RestoreState(in));
-    // Consistency: materialized records must reproduce the released row.
-    synth->t_ = t;
-    if (synth->SyntheticThresholdCounts() != synth->released_) {
-      return Status::InvalidArgument(
-          "checkpoint histories inconsistent with released thresholds");
-    }
-  }
-  synth->t_ = t;
-  LONGDP_RETURN_NOT_OK(
-      sio::ExpectToken(in, kCumulativeEnd, "cumulative checkpoint"));
-  return synth;
 }
 
 }  // namespace core

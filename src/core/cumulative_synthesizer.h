@@ -17,6 +17,8 @@
 
 #include <iosfwd>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/longitudinal_dataset.h"
@@ -105,16 +107,25 @@ class CumulativeSynthesizer {
 
   const dp::ZCdpAccountant& accountant() const { return accountant_; }
 
-  /// Serializes the complete synthesizer state — options, original-data
+  /// Appends the complete synthesizer state — options, original-data
   /// weight state, synthetic records, and every stream counter's internal
-  /// (noise-bearing) state — so a release spanning months of wall clock can
+  /// (noise-bearing) state — to `out` as a binary checkpoint (format in
+  /// core/checkpoint.cc), so a release spanning months of wall clock can
   /// resume in a later process. Checkpoints are curator state, not
   /// releases: protect them like the input data.
-  Status SaveCheckpoint(std::ostream& out) const;
+  Status SaveCheckpoint(std::string* out) const;
 
-  /// Restores a synthesizer from SaveCheckpoint output. The worker pool is
-  /// runtime configuration, not curator state, so it is NOT persisted: a
-  /// restored synthesizer runs serially until set_pool() re-attaches one.
+  /// Restores a synthesizer from SaveCheckpoint output, which must be
+  /// exactly `bytes`. The worker pool is runtime configuration, not curator
+  /// state, so it is NOT persisted: a restored synthesizer runs serially
+  /// until set_pool() re-attaches one.
+  static Result<std::unique_ptr<CumulativeSynthesizer>> LoadCheckpoint(
+      std::string_view bytes);
+
+  /// Stream forms of the two calls above: the same bytes, written to `out`
+  /// or read from `in` up to its end. Kept only for callers not yet on the
+  /// string API (the shard-equality test); see ROADMAP.
+  Status SaveCheckpoint(std::ostream& out) const;
   static Result<std::unique_ptr<CumulativeSynthesizer>> LoadCheckpoint(
       std::istream& in);
 
@@ -131,13 +142,6 @@ class CumulativeSynthesizer {
         selection_root_(options.seed, util::substream::kSelection) {}
 
   Status InitializeForPopulation(int64_t n);
-
-  /// True prefix weight of original record i (materialized from the weight
-  /// planes, or read directly on the wide-horizon scalar path).
-  int64_t OrigWeight(int64_t i) const;
-  /// Sets record i's true prefix weight in whichever representation is
-  /// active (checkpoint restore).
-  void SetOrigWeight(int64_t i, int64_t w);
 
   Options options_;
   dp::ZCdpAccountant accountant_;

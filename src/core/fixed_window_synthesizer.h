@@ -24,6 +24,8 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/synthetic_cohort.h"
@@ -127,18 +129,27 @@ class FixedWindowSynthesizer {
   const Stats& stats() const { return stats_; }
   const dp::ZCdpAccountant& accountant() const { return accountant_; }
 
-  /// Serializes the complete synthesizer state — options, consumed budget,
+  /// Appends the complete synthesizer state — options, consumed budget,
   /// the buffered per-user window state of the ORIGINAL data, and the
-  /// synthetic cohort — so a continual release spanning months of wall
+  /// synthetic cohort — to `out` as a binary checkpoint (format in
+  /// core/checkpoint.cc), so a continual release spanning months of wall
   /// clock can resume in a later process. The checkpoint embeds raw input
   /// state: protect the file like the survey data itself (it is not a
   /// release). Restoring and continuing consumes the remaining budget
   /// normally; the accountant's ledger records the restored charge.
-  Status SaveCheckpoint(std::ostream& out) const;
+  Status SaveCheckpoint(std::string* out) const;
 
-  /// Restores a synthesizer from SaveCheckpoint output. The worker pool is
-  /// runtime configuration, not curator state, so it is NOT persisted: a
-  /// restored synthesizer runs serially until set_pool() re-attaches one.
+  /// Restores a synthesizer from SaveCheckpoint output, which must be
+  /// exactly `bytes`. The worker pool is runtime configuration, not curator
+  /// state, so it is NOT persisted: a restored synthesizer runs serially
+  /// until set_pool() re-attaches one.
+  static Result<std::unique_ptr<FixedWindowSynthesizer>> LoadCheckpoint(
+      std::string_view bytes);
+
+  /// Stream forms of the two calls above: the same bytes, written to `out`
+  /// or read from `in` up to its end. Kept only for callers not yet on the
+  /// string API (the shard-equality test); see ROADMAP.
+  Status SaveCheckpoint(std::ostream& out) const;
   static Result<std::unique_ptr<FixedWindowSynthesizer>> LoadCheckpoint(
       std::istream& in);
 
@@ -169,7 +180,7 @@ class FixedWindowSynthesizer {
   void CountWindowHistogram();
 
   /// Materializes user i's width-k window code from the bit-plane ring
-  /// (checkpoint serialization and the small-k fallback paths).
+  /// (the wide-window histogram fallback).
   util::Pattern WindowPattern(int64_t i) const;
 
   Options options_;

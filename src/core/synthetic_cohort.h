@@ -11,6 +11,7 @@
 #define LONGDP_CORE_SYNTHETIC_COHORT_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "data/longitudinal_dataset.h"
@@ -31,12 +32,15 @@ class SyntheticCohort {
   static Result<SyntheticCohort> Create(
       int window_k, const std::vector<int64_t>& initial_counts);
 
-  /// Rebuilds a cohort from fully materialized record histories (used by
-  /// checkpoint restore). Every history must have the same length >= k;
-  /// the overlap index and histogram are reconstructed from the last k
-  /// bits.
+  /// Rebuilds a cohort from its checkpointed state (core/checkpoint.cc):
+  /// `history_bits` is the column-major matrix history_bits() returned —
+  /// `rounds` columns of 0/1 bytes, rounds >= k — and `group_order` is
+  /// group_order(). The histogram is recounted from the last k bits of
+  /// each record; the order must be a permutation of the records that
+  /// lists every overlap group's members contiguously, in overlap order.
   static Result<SyntheticCohort> Restore(
-      int window_k, std::vector<std::vector<uint8_t>> histories);
+      int window_k, int64_t rounds, std::vector<uint8_t> history_bits,
+      const std::vector<int64_t>& group_order);
 
   int window_k() const { return k_; }
   int64_t num_records() const { return num_records_; }
@@ -88,19 +92,19 @@ class SyntheticCohort {
   /// >= rounds()).
   Result<data::LongitudinalDataset> ToDataset(int64_t horizon) const;
 
-  /// Appends the flat overlap-group member order (groups in overlap order,
-  /// members in current within-group order) — exactly num_records()
-  /// entries. AdvanceRound's selection shuffles permute this order, so a
-  /// checkpoint must persist it: a cohort rebuilt in record-index order
-  /// releases the same histograms but promotes DIFFERENT record
-  /// identities on resume.
-  void AppendGroupOrder(std::vector<int64_t>* out) const;
+  /// The flat column-major history matrix: round t's column is the
+  /// num_records() bytes starting at (t-1) * num_records(), one 0/1 byte
+  /// per record.
+  std::span<const uint8_t> history_bits() const { return history_bits_; }
 
-  /// Restores an AppendGroupOrder permutation onto a cohort rebuilt by
-  /// Restore(). Rejects anything that is not a permutation of
-  /// [0, num_records()); each record lands in the group its current
-  /// overlap dictates, in the listed order.
-  Status RestoreGroupOrder(const std::vector<int64_t>& order);
+  /// The flat overlap-group member order (groups in overlap order, members
+  /// in current within-group order) — exactly num_records() entries.
+  /// AdvanceRound's selection shuffles permute this order, so a checkpoint
+  /// must persist it: a cohort rebuilt in record-index order releases the
+  /// same histograms but promotes DIFFERENT record identities on resume.
+  std::span<const int64_t> group_order() const {
+    return {groups_.group_data(0), static_cast<size_t>(groups_.total())};
+  }
 
  private:
   SyntheticCohort() = default;

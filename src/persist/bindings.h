@@ -20,6 +20,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -39,21 +40,21 @@ namespace persist {
 struct CumulativeTraits {
   using Synth = core::CumulativeSynthesizer;
   static constexpr const char* kKind = "cumulative";
-  static constexpr int64_t kFormatVersion = 4;
+  static constexpr int64_t kFormatVersion = 5;
   static std::string ReleaseRecord(const Synth& synth);
 };
 
 struct FixedWindowTraits {
   using Synth = core::FixedWindowSynthesizer;
   static constexpr const char* kKind = "fixed-window";
-  static constexpr int64_t kFormatVersion = 4;
+  static constexpr int64_t kFormatVersion = 5;
   static std::string ReleaseRecord(const Synth& synth);
 };
 
 struct CategoricalTraits {
   using Synth = core::CategoricalWindowSynthesizer;
   static constexpr const char* kKind = "categorical";
-  static constexpr int64_t kFormatVersion = 1;
+  static constexpr int64_t kFormatVersion = 2;
   static std::string ReleaseRecord(const Synth& synth);
 };
 
@@ -79,11 +80,11 @@ class DurableRun {
     hooks.format_version = Traits::kFormatVersion;
     hooks.seed = sopts.seed;
     DurableRun* self = run.get();
-    hooks.save = [self](std::ostream& out) {
+    hooks.save = [self](std::string* out) {
       return self->synth_->SaveCheckpoint(out);
     };
-    hooks.restore = [self](std::istream& in) -> Status {
-      auto restored = Synth::LoadCheckpoint(in);
+    hooks.restore = [self](std::string_view payload) -> Status {
+      auto restored = Synth::LoadCheckpoint(payload);
       if (!restored.ok()) return restored.status();
       self->synth_ = std::move(restored).value();
       self->synth_->set_pool(self->pool_);

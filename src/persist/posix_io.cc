@@ -1,6 +1,7 @@
 #include "persist/posix_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -82,6 +83,12 @@ Status SyncParentDir(const std::string& path) {
 Status ReadFileBytes(const std::string& path, std::string* out) {
   LONGDP_ASSIGN_OR_RETURN(int fd, OpenFd(path, O_RDONLY, 0));
   out->clear();
+  // Snapshots run to tens of MB: size the buffer once instead of letting
+  // the chunked appends reallocate and copy it ~log2(size / 64 KiB) times.
+  struct stat st;
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    out->reserve(static_cast<size_t>(st.st_size));
+  }
   char buf[1 << 16];
   Status status = Status::OK();
   for (;;) {

@@ -4,11 +4,9 @@
 
 #include <cerrno>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "persist/snapshot.h"
-#include "stream/state_io.h"
 
 namespace longdp {
 namespace persist {
@@ -59,7 +57,7 @@ Result<RecoveryReport> RecoveryManager::Recover(
   // the whole log); damaged or mismatched is not.
   Result<Snapshot> snap_read = ReadSnapshot(snapshot_path);
   if (snap_read.ok()) {
-    const Snapshot& snap = snap_read.value();
+    Snapshot snap = std::move(snap_read).value();
     if (snap.meta.kind != hooks.kind) {
       return Status::InvalidArgument(
           "snapshot is for synthesizer kind '" + snap.meta.kind +
@@ -77,10 +75,10 @@ Result<RecoveryReport> RecoveryManager::Recover(
           "snapshot was taken under a different seed; refusing a replay "
           "that would diverge from the release log");
     }
-    std::istringstream payload(snap.payload);
-    LONGDP_RETURN_NOT_OK(hooks.restore(payload));
-    LONGDP_RETURN_NOT_OK(
-        stream::state_io::ExpectExhausted(payload, "snapshot payload"));
+    LONGDP_RETURN_NOT_OK(hooks.restore(snap.payload));
+    // The restored synthesizer owns its state now; drop the payload bytes
+    // before replay grows it.
+    std::string().swap(snap.payload);
     if (hooks.round() != snap.meta.round) {
       return Status::DataLoss(
           "snapshot header says round " + std::to_string(snap.meta.round) +
@@ -163,14 +161,14 @@ Status DurableSession::ObserveRound(const std::vector<uint8_t>& data) {
 }
 
 Status DurableSession::Checkpoint() {
-  std::ostringstream payload;
-  LONGDP_RETURN_NOT_OK(hooks_.save(payload));
+  std::string payload;
+  LONGDP_RETURN_NOT_OK(hooks_.save(&payload));
   SnapshotMeta meta;
   meta.kind = hooks_.kind;
   meta.format_version = hooks_.format_version;
   meta.seed = hooks_.seed;
   meta.round = hooks_.round();
-  return WriteSnapshot(snapshot_path_, meta, payload.str());
+  return WriteSnapshot(snapshot_path_, meta, payload);
 }
 
 }  // namespace persist

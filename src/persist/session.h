@@ -32,9 +32,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "persist/wal.h"
@@ -55,11 +55,11 @@ struct SynthesizerHooks {
   /// Substream root seed of the run; recovery refuses a snapshot taken
   /// under a different seed (its replay would diverge from the WAL).
   uint64_t seed = 0;
-  /// Serializes the synthesizer (SaveCheckpoint).
-  std::function<Status(std::ostream&)> save;
-  /// Replaces the synthesizer with one restored from the stream
-  /// (LoadCheckpoint); must consume the entire payload.
-  std::function<Status(std::istream&)> restore;
+  /// Appends the synthesizer's checkpoint to the string (SaveCheckpoint).
+  std::function<Status(std::string*)> save;
+  /// Replaces the synthesizer with one restored from the snapshot payload
+  /// (LoadCheckpoint); must reject a payload it does not consume entirely.
+  std::function<Status(std::string_view)> restore;
   /// Feeds one round of per-user input data.
   std::function<Status(const std::vector<uint8_t>&)> observe;
   /// Rounds observed so far (t).

@@ -7,10 +7,11 @@
 //
 // The header line is plain text (kind is a token like "cumulative"; crc is
 // the 8-hex-digit CRC32C of the payload). The payload is the synthesizer's
-// own SaveCheckpoint output, treated here as opaque bytes — the snapshot
-// layer adds integrity (checksum, exact length) and identity (kind, format
-// version, seed, round) on top, so recovery can refuse a snapshot from the
-// wrong synthesizer, seed, or format before feeding it to a parser.
+// own binary SaveCheckpoint output, treated here as opaque bytes — the
+// snapshot layer adds integrity (checksum, exact length) and identity (kind,
+// format version, seed, round) on top, so recovery can refuse a snapshot
+// from the wrong synthesizer, seed, or format before feeding it to a
+// parser.
 //
 // Durability: WriteSnapshot writes to `<path>.tmp`, fsyncs the file,
 // renames over `path`, and fsyncs the parent directory — after a crash the
@@ -31,6 +32,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "util/status.h"
 
@@ -50,23 +52,25 @@ struct Snapshot {
 };
 
 /// Serializes meta + payload into the wire format (header line + payload).
-std::string EncodeSnapshot(const SnapshotMeta& meta,
-                           const std::string& payload);
+std::string EncodeSnapshot(const SnapshotMeta& meta, std::string_view payload);
 
-/// Parses wire-format bytes. See the status taxonomy above.
-Result<Snapshot> DecodeSnapshot(const std::string& bytes);
+/// Parses wire-format bytes. See the status taxonomy above. Takes the bytes
+/// by value: the returned payload is the same buffer with the header line
+/// erased, not a copy.
+Result<Snapshot> DecodeSnapshot(std::string bytes);
 
 /// Atomically replaces `path` with the encoded snapshot (temp + fsync +
-/// rename + directory fsync).
+/// rename + directory fsync). The header line and the payload are written
+/// as they are, without building the encoded file in memory.
 Status WriteSnapshot(const std::string& path, const SnapshotMeta& meta,
-                     const std::string& payload);
+                     std::string_view payload);
 
 /// Writes the encoded snapshot straight to `path` with no temp/rename —
 /// NOT crash-atomic. For character devices and write-failure injection
 /// (e.g. /dev/full) where the atomic dance cannot apply; production
 /// snapshots use WriteSnapshot.
 Status WriteSnapshotDirect(const std::string& path, const SnapshotMeta& meta,
-                           const std::string& payload);
+                           std::string_view payload);
 
 /// Reads and decodes the snapshot at `path`.
 Result<Snapshot> ReadSnapshot(const std::string& path);

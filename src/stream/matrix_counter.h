@@ -78,6 +78,9 @@ class MatrixCounterFactory : public StreamCounterFactory {
       int64_t horizon, double rho,
       const util::SubstreamRng& stream) const override;
   std::string name() const override { return "sqrt-matrix"; }
+  /// Each counter also keeps four O(T) arrays, so a bank over T steps holds
+  /// another ~16 T^2 bytes: 64 MiB at T = 2048.
+  int64_t max_bank_horizon() const override { return 2048; }
 };
 
 }  // namespace stream

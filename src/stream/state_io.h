@@ -5,6 +5,7 @@
 #ifndef LONGDP_STREAM_STATE_IO_H_
 #define LONGDP_STREAM_STATE_IO_H_
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdint>
@@ -67,6 +68,22 @@ inline Result<int64_t> ReadInt(std::istream& in) {
   return static_cast<int64_t>(v);
 }
 
+// Validates a vector's declared element count and empties `v` for the
+// element reads. The count is untrusted input: the vector grows as tokens
+// actually parse, and the up-front reserve is capped, so a forged count
+// (the 16-byte "4294967296 1 2 3") fails as truncated state instead of
+// allocating 32 GiB before the first element is read.
+template <typename T>
+Status StartVector(int64_t count, std::vector<T>* v) {
+  if (count < 0 || count > (int64_t{1} << 32)) {
+    return Status::InvalidArgument("implausible counter state vector size");
+  }
+  constexpr int64_t kMaxReserve = 4096;
+  v->clear();
+  v->reserve(static_cast<size_t>(std::min(count, kMaxReserve)));
+  return Status::OK();
+}
+
 inline void WriteIntVector(std::ostream& out,
                            const std::vector<int64_t>& v) {
   out << v.size();
@@ -75,12 +92,10 @@ inline void WriteIntVector(std::ostream& out,
 
 inline Status ReadIntVector(std::istream& in, std::vector<int64_t>* v) {
   LONGDP_ASSIGN_OR_RETURN(int64_t count, ReadInt(in));
-  if (count < 0 || count > (int64_t{1} << 32)) {
-    return Status::InvalidArgument("implausible counter state vector size");
-  }
-  v->resize(static_cast<size_t>(count));
-  for (auto& x : *v) {
-    LONGDP_ASSIGN_OR_RETURN(x, ReadInt(in));
+  LONGDP_RETURN_NOT_OK(StartVector(count, v));
+  for (int64_t i = 0; i < count; ++i) {
+    LONGDP_ASSIGN_OR_RETURN(const int64_t x, ReadInt(in));
+    v->push_back(x);
   }
   return Status::OK();
 }
@@ -96,12 +111,10 @@ inline void WriteDoubleVector(std::ostream& out,
 
 inline Status ReadDoubleVector(std::istream& in, std::vector<double>* v) {
   LONGDP_ASSIGN_OR_RETURN(int64_t count, ReadInt(in));
-  if (count < 0 || count > (int64_t{1} << 32)) {
-    return Status::InvalidArgument("implausible counter state vector size");
-  }
-  v->resize(static_cast<size_t>(count));
-  for (auto& x : *v) {
-    LONGDP_ASSIGN_OR_RETURN(x, ReadDouble(in));
+  LONGDP_RETURN_NOT_OK(StartVector(count, v));
+  for (int64_t i = 0; i < count; ++i) {
+    LONGDP_ASSIGN_OR_RETURN(const double x, ReadDouble(in));
+    v->push_back(x);
   }
   return Status::OK();
 }
@@ -146,12 +159,10 @@ inline void WriteCursorVector(std::ostream& out,
 
 inline Status ReadCursorVector(std::istream& in, std::vector<uint64_t>* v) {
   LONGDP_ASSIGN_OR_RETURN(int64_t count, ReadInt(in));
-  if (count < 0 || count > (int64_t{1} << 32)) {
-    return Status::InvalidArgument("implausible counter state vector size");
-  }
-  v->resize(static_cast<size_t>(count));
-  for (auto& x : *v) {
-    LONGDP_ASSIGN_OR_RETURN(x, ReadCursor(in));
+  LONGDP_RETURN_NOT_OK(StartVector(count, v));
+  for (int64_t i = 0; i < count; ++i) {
+    LONGDP_ASSIGN_OR_RETURN(const uint64_t x, ReadCursor(in));
+    v->push_back(x);
   }
   return Status::OK();
 }

@@ -95,6 +95,13 @@ class StreamCounterFactory {
       int64_t horizon, double rho, const util::SubstreamRng& stream) const = 0;
 
   virtual std::string name() const = 0;
+
+  /// The longest horizon a CounterBank of these counters may span. A bank
+  /// holds one counter per weight threshold, and each counter's noise
+  /// sampler keeps up to 32 KiB of tables, so a bank over T steps can hold
+  /// ~32 KiB x T: 128 MiB at the default cap.
+  virtual int64_t max_bank_horizon() const { return kMaxBankHorizon; }
+  static constexpr int64_t kMaxBankHorizon = 4096;
 };
 
 }  // namespace stream

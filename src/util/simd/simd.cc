@@ -88,6 +88,14 @@ void PlaneAdd(uint64_t* const* planes, int num_planes,
   GetDispatch().backend->plane_add(planes, num_planes, addend, num_words);
 }
 
+uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len) {
+  return GetDispatch().backend->crc32c(crc, data, len);
+}
+
+uint32_t Crc32cExtendScalar(uint32_t crc, const void* data, size_t len) {
+  return internal::kScalarBackend.crc32c(crc, data, len);
+}
+
 }  // namespace simd
 }  // namespace util
 }  // namespace longdp

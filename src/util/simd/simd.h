@@ -1,7 +1,7 @@
 // Runtime-dispatched SIMD kernel layer (pgaccel-style trait dispatch).
 //
-// Three kernels back the hot loops of the noise path and the bit-plane
-// synthesizer state:
+// Four kernels back the hot loops of the noise path, the bit-plane
+// synthesizer state and the durable layer's checksums:
 //
 //   * FillStreamWords — bulk evaluation of the SubstreamRng keyed block
 //     function word(key, i) = SplitMix64Finalize(key + (i + 1) * gamma).
@@ -15,6 +15,10 @@
 //   * PlaneAdd — bit-sliced ripple-carry increment: adds a packed 1-bit
 //     addend to the b-plane codes in place. Pure bitwise logic, identical
 //     across backends.
+//   * Crc32cExtend — CRC32C (Castagnoli) of a byte buffer. The vector
+//     backends use the SSE4.2 `crc32` instruction (every AVX2 CPU has it);
+//     the scalar backend is a slicing-by-4 table. A CRC is a function of
+//     the bytes alone, so every backend returns the same value.
 //
 // Dispatch model: each backend (scalar, AVX2, AVX-512) is compiled in its
 // own translation unit with the matching -m flags, instantiating the shared
@@ -22,7 +26,7 @@
 // One runtime CPU-feature probe (at first use) selects the backend; the
 // entry points below forward through function pointers ever after.
 //
-// Determinism contract: all three kernels are bit-exact across backends by
+// Determinism contract: all four kernels are bit-exact across backends by
 // construction — integer-only arithmetic, no reassociation, no
 // approximation. Forcing the scalar path (LONGDP_FORCE_SCALAR=1 in the
 // environment, or the -DLONGDP_FORCE_SCALAR=ON build option) therefore
@@ -84,6 +88,15 @@ void PlaneHistogram(const uint64_t* const* planes, int num_planes,
 /// is dropped; callers must size num_planes so the maximum code fits.
 void PlaneAdd(uint64_t* const* planes, int num_planes,
               const uint64_t* addend, size_t num_words);
+
+/// Extends a running CRC32C (reflected polynomial 0x82F63B78) with `len`
+/// bytes; start a fresh checksum with crc = 0. Satisfies
+/// Crc32cExtend(Crc32cExtend(0, a), b) == Crc32cExtend(0, a + b).
+uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len);
+
+/// The scalar backend's Crc32cExtend, callable directly so tests can check
+/// the dispatched kernel against it.
+uint32_t Crc32cExtendScalar(uint32_t crc, const void* data, size_t len);
 
 }  // namespace simd
 }  // namespace util

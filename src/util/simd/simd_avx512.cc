@@ -68,6 +68,7 @@ const Backend kAvx512Backend = {
     &FillStreamWordsT<Avx512Traits>,
     &PlaneHistogramT<Avx512Traits>,
     &PlaneAddT<Avx512Traits>,
+    &Crc32cHardware,
 };
 
 }  // namespace internal

@@ -32,12 +32,16 @@ struct Backend {
                           int64_t* hist);
   void (*plane_add)(uint64_t* const* planes, int num_planes,
                     const uint64_t* addend, size_t num_words);
+  uint32_t (*crc32c)(uint32_t crc, const void* data, size_t len);
 };
 
 extern const Backend kScalarBackend;
 #if LONGDP_SIMD_X86
 extern const Backend kAvx2Backend;
 extern const Backend kAvx512Backend;
+/// The SSE4.2 `crc32` kernel, compiled in the AVX2 TU; the AVX-512 backend
+/// shares it (there is no wider CRC instruction).
+uint32_t Crc32cHardware(uint32_t crc, const void* data, size_t len);
 #endif
 
 }  // namespace internal

@@ -38,6 +38,15 @@ TEST(CumulativeTest, CreateValidates) {
   EXPECT_FALSE(CumulativeSynthesizer::Create(Opt(0, 0.5)).ok());
   EXPECT_FALSE(CumulativeSynthesizer::Create(Opt(5, 0.0)).ok());
   EXPECT_TRUE(CumulativeSynthesizer::Create(Opt(5, 0.5)).ok());
+  // The counter bank holds one counter per threshold, so the horizon is
+  // capped per counter type: 4096 for the tree, 2048 for the O(T) matrix.
+  EXPECT_TRUE(CumulativeSynthesizer::Create(Opt(4096, 0.5)).ok());
+  EXPECT_FALSE(CumulativeSynthesizer::Create(Opt(4097, 0.5)).ok());
+  auto matrix = Opt(2049, 0.5);
+  matrix.counter_factory = stream::MakeCounterFactory("sqrt-matrix").value();
+  EXPECT_FALSE(CumulativeSynthesizer::Create(matrix).ok());
+  matrix.horizon = 2048;
+  EXPECT_TRUE(CumulativeSynthesizer::Create(matrix).ok());
 }
 
 TEST(CumulativeTest, ZeroNoiseReproducesTrueCounts) {

@@ -40,6 +40,8 @@ TEST(FixedWindowTest, CreateValidates) {
   EXPECT_FALSE(FixedWindowSynthesizer::Create(Opt(2, 3, 0.5)).ok());
   EXPECT_FALSE(FixedWindowSynthesizer::Create(Opt(12, 0, 0.5)).ok());
   EXPECT_FALSE(FixedWindowSynthesizer::Create(Opt(12, 3, 0.0)).ok());
+  // 2^k-bin histograms are capped at 2^24 bins, as the categorical A^k.
+  EXPECT_FALSE(FixedWindowSynthesizer::Create(Opt(30, 25, 0.5)).ok());
   EXPECT_TRUE(FixedWindowSynthesizer::Create(Opt(12, 3, 0.5)).ok());
 }
 

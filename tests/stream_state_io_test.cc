@@ -79,6 +79,27 @@ TEST(StateIoTest, RejectsTruncatedVectors) {
   EXPECT_FALSE(ReadIntVector(s, &out).ok());
 }
 
+TEST(StateIoTest, ForgedCountFailsBeforeAllocating) {
+  // Regression: a count of 2^32 passed the size check and the vector was
+  // resized before a single element was read, so these 16 bytes threw
+  // std::bad_alloc (or zero-filled 32 GiB). The vector must only grow as
+  // elements actually parse.
+  const std::string forged = "4294967296 1 2 3";
+  std::stringstream ints(forged);
+  std::vector<int64_t> iv;
+  Status st = ReadIntVector(ints, &iv);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  std::stringstream doubles(forged);
+  std::vector<double> dv;
+  st = ReadDoubleVector(doubles, &dv);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  std::stringstream cursors(forged);
+  std::vector<uint64_t> cv;
+  st = ReadCursorVector(cursors, &cv);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_LE(iv.capacity(), 4096u);
+}
+
 TEST(StateIoTest, MalformedDoubleIsRejectedNotZero) {
   // Regression: ReadDouble used strtod with a null endptr, so a corrupted
   // checkpoint token silently restored as 0.0 — a wrong-but-plausible state
